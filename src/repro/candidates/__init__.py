@@ -29,6 +29,7 @@ from repro.candidates.cascade import (
     COUNTER_VERIFIED,
     FilterCascade,
     HistogramBoundFilter,
+    encode_histogram,
     new_counters,
 )
 from repro.candidates.dedup import CandidateBuffer, unordered
@@ -52,6 +53,7 @@ __all__ = [
     "HistogramBoundFilter",
     "PostingsIndex",
     "SignatureInterner",
+    "encode_histogram",
     "new_counters",
     "pack_posting",
     "unordered",

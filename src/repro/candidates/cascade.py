@@ -61,6 +61,13 @@ def new_counters() -> dict[str, int]:
     return {name: 0 for name in CASCADE_COUNTERS}
 
 
+def encode_histogram(histogram: Mapping[int, int]) -> tuple[tuple[int, int], ...]:
+    """Canonical, hashable encoding of a token-length histogram: the
+    sorted ``(length, multiplicity)`` tuples
+    :meth:`HistogramBoundFilter.nsld_bound_encoded` memoizes on."""
+    return tuple(sorted(histogram.items()))
+
+
 class FilterCascade:
     """Ordered short-circuit filters over proposed candidate ids.
 
@@ -227,7 +234,7 @@ class HistogramBoundFilter:
         """:meth:`nsld_bound` over *encoded* histograms, fully memoized.
 
         ``histogram_*`` are the canonical sorted ``(length, multiplicity)``
-        tuples the TSJ pipeline ships (see ``repro.tsj.jobs``);
+        tuples of :func:`encode_histogram` (what the TSJ pipeline ships);
         ``similar_key`` must be a canonical (sorted) tuple of the similar
         pairs so equal inputs hit the same memo slot.  The bound is a pure
         function of these three values (threshold and Lemma 10 mode are

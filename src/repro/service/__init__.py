@@ -7,7 +7,9 @@ build-once/query-many system (see README.md "Query serving"):
   tokenized collection, the interned :class:`repro.accel.Vocab` (with
   prebuilt Myers masks), the candidate-pipeline
   :class:`repro.candidates.PostingsIndex` and the Lemma 6 length
-  partition, serving ``join`` / ``topk`` / ``within`` / ``append``;
+  partition, serving ``join`` / ``topk`` / ``within`` through a 1-shard
+  :class:`repro.shard.ShardedIndex` router over itself, and growing by
+  ``append``;
 * :class:`LRUCache` -- the bounded result cache with hit/miss counters
   (also backing :class:`repro.knn.FuzzyMatchIndex`'s query cache);
 * :mod:`repro.service.sharing` -- snapshot publication to the shared

@@ -17,49 +17,43 @@ does the opposite: construction is rare, queries are endless.
 * the aggregate-length order and encoded token-length histograms that
   drive the Lemma 6 / Sec. III-E.2 filters.
 
-Against that snapshot it serves:
+It owns the snapshot's construction and growth (:meth:`append` extends
+the interners, postings and length order in place, no rebuild), the
+bounded LRU result cache and the canonical counters, pickling and pool
+publication -- and the cache-free ``_shard_*`` primitives every query
+runs on:
 
-* :meth:`join` -- the full TSJ self-join, byte-identical to
-  :func:`repro.core.nsld_join` (same pairs, same counters, same
-  simulated seconds) with tokenization amortized away;
-* :meth:`topk` / :meth:`within` -- batched probe paths over the
-  candidate pipeline: Lemma 6 length window (complete by construction),
-  the shared :class:`repro.candidates.FilterCascade` with the canonical
-  counters, a histogram lower-bound prune, and exact verification
-  through the snapshot vocab (single-token records go through the
-  batched :func:`repro.candidates.verify_nld_pairs` fast path).  Under
-  the ``vector`` backend the per-candidate loop is replaced by the
-  numpy array probe (``searchsorted`` length window, masked filter
-  arrays, one histogram bound per distinct histogram) -- identical
-  results and counter totals, batched wall-clock;
-* :meth:`append` -- incremental growth: new records extend the
-  interners, postings and length order in place, no rebuild;
-* a bounded LRU result cache (hits/misses surfaced next to the cascade
-  counters) so repeated requests cost a dict probe.
+* ``_shard_within`` -- one probe pass: Lemma 6 length window (complete
+  by construction), the shared :class:`repro.candidates.FilterCascade`
+  with the canonical counters and a histogram lower-bound prune, then
+  exact verification through the snapshot vocab (single-token records
+  go through the batched :func:`repro.candidates.verify_nld_pairs` fast
+  path).  Under the ``vector`` backend only the filter arithmetic
+  changes -- masked numpy arrays, one histogram bound per distinct
+  histogram -- with identical results and counter totals;
+* ``_shard_overlap`` / ``_shard_verify`` -- the top-k seeding pieces;
+* ``_shard_topk_knn`` / ``_shard_within_knn`` -- the metric-space
+  backends (:class:`repro.knn.VPTree`, :class:`repro.knn.BKTree`),
+  built lazily over the same snapshot.
 
-The metric-space indexes (:class:`repro.knn.VPTree`,
-:class:`repro.knn.BKTree`, :class:`repro.knn.FuzzyMatchIndex`) are
-reachable behind the same API via ``method=`` and built lazily over the
-same snapshot.
-
-Snapshots are picklable and can be **published to the shared worker
-pool** (:mod:`repro.service.sharing`): batched ``topk``/``within`` calls
-with ``processes > 1`` fan queries out over the PR 2 pool without
-re-shipping the snapshot per task -- fork platforms share it
-copy-on-write, spawn platforms receive one explicit broadcast at pool
-start-up.
+There is **one serving algorithm**: the public :meth:`topk`,
+:meth:`within` and :meth:`join` delegate to a lazily built 1-shard
+:class:`repro.shard.ShardedIndex` router over ``self``, which shares
+this index's :attr:`counters` and :attr:`result_cache` (so nothing is
+counted twice) and owns the top-k search, the result-cache sequence and
+the pooled fan-out.  The router is derived state: dropped on
+:meth:`append`, never pickled.
 
 Correctness contract (property-tested in ``tests/service/``):
 ``topk``/``within`` agree exactly with the brute-force NSLD oracle,
-``append`` + query equals rebuild + query, and pool-served results are
-byte-identical to in-process serving.
+``join`` is byte-identical to :func:`repro.core.nsld_join`, ``append`` +
+query equals rebuild + query, and pool-served results and counters are
+identical to in-process serving.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-import os
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from typing import Sequence
@@ -74,28 +68,20 @@ from repro.candidates import (
     FilterCascade,
     HistogramBoundFilter,
     PostingsIndex,
+    encode_histogram,
     new_counters,
     verify_nld_pairs,
 )
 from repro.distances.setwise import nsld, nsld_length_lower_bound, sld
 from repro.service.cache import COUNTER_CACHE_HITS, COUNTER_CACHE_MISSES, LRUCache
+from repro.service.sharing import Publishable
 from repro.tokenize import TokenizedString, Tokenizer
-from repro.tsj.jobs import encode_histogram
 
 #: Serving methods: the cascade probe path plus the metric-space indexes.
 SERVE_METHODS = ("cascade", "vptree", "bktree", "fuzzymatch")
 
-#: Upper bound on token-postings seeds fully verified per top-k query
-#: (as a multiple of ``k``, floored at ``_MIN_SEED_CAP``).  Seeding only
-#: tightens the initial search radius; capping it never loses results.
-_SEED_FACTOR = 4
-_MIN_SEED_CAP = 32
 
-_MISS = object()
-_SHARE_KEYS = itertools.count()
-
-
-class SimilarityIndex:
+class SimilarityIndex(Publishable):
     """A frozen, resident NSLD index over a collection of raw names.
 
     Parameters
@@ -110,8 +96,8 @@ class SimilarityIndex:
         Edit-distance kernel for verification (``"auto" | "dp" |
         "bitparallel" | "vector"``; values are backend-invariant).
         Under ``vector`` (what ``auto`` resolves to when numpy is
-        importable) the probe paths also swap the per-candidate cascade
-        loop for the array probe -- same results, same counters.
+        importable) the probe swaps the per-candidate filter loop for
+        array masks -- same results, same counters.
     cache_size:
         Capacity of the LRU result cache (0 disables result caching).
 
@@ -169,14 +155,14 @@ class SimilarityIndex:
         #: is unused on this path).
         self._probe_filter = HistogramBoundFilter(0.0, use_lemma10=False)
         #: Lazily built probe arrays for the ``vector`` backend's
-        #: array-based cascade (see :meth:`_arrays`); derived state,
+        #: array filters (see :meth:`_arrays`); derived state,
         #: invalidated on append and rebuilt per process.
         self._probe_arrays: tuple | None = None
         #: Lazily built metric-space serving backends (not pickled).
         self._knn: dict[str, object] = {}
-        #: Stable identity for pool-publication bookkeeping.
-        self.share_key = f"{os.getpid()}-{next(_SHARE_KEYS)}"
-        self._published: str | None = None
+        #: The 1-shard serving router over ``self`` (derived, not pickled).
+        self._router = None
+        self._init_publication()
         if names:
             self.append(names)
 
@@ -188,9 +174,10 @@ class SimilarityIndex:
         New records extend the vocab interner (masks prebuilt), the token
         postings and the length order incrementally; querying an appended
         index returns exactly what a fresh build over the full collection
-        would (property-tested).  Cached results and lazily built
-        metric-space backends are invalidated, and a pool-published
-        snapshot is re-published on its next pooled serve.
+        would (property-tested).  Cached results, lazily built
+        metric-space backends and the serving router are invalidated,
+        and a pool-published snapshot is re-published on its next pooled
+        serve.
 
         ``base`` makes the append **idempotent** under at-least-once
         delivery (the retrying ``/v1/append`` path): it names how many
@@ -202,13 +189,15 @@ class SimilarityIndex:
         lost-update conflict and raises
         :class:`~repro.api.errors.ValidationError`.
         """
-        if base is not None:
-            replayed = self._check_append_base(names, base)
-            if replayed:
-                return
-        added = False
-        for name in names:
-            record = self.tokenizer.tokenize(name)
+        if base is not None and self._check_append_base(names, base):
+            return
+        names = list(names)
+        self._extend(names, [self.tokenizer.tokenize(name) for name in names])
+
+    def _extend(self, names: Sequence[str], records: Sequence[TokenizedString]) -> None:
+        """Index already-tokenized records (the shard router's build path:
+        it tokenizes once for placement and hands the records over)."""
+        for name, record in zip(names, records):
             record_id = len(self._records)
             self._names.append(name)
             self._records.append(record)
@@ -218,8 +207,7 @@ class SimilarityIndex:
                 self._vocab.masks(token_id)  # snapshot the Peq table now
             self._lengths.append((record.aggregate_length, record_id))
             self._histograms.append(encode_histogram(record.length_histogram))
-            added = True
-        if added:
+        if names:
             # One sort per append call, not one insort per record (which
             # is O(n) element moves each -- quadratic for large builds).
             self._lengths.sort()
@@ -227,6 +215,7 @@ class SimilarityIndex:
             self._knn.clear()
             self._probe_arrays = None
             self.unpublish()  # the next pooled serve re-publishes
+            self._router = None
 
     def _check_append_base(self, names: Sequence[str], base: int) -> bool:
         """Validate an append's ``base`` offset; True when it is a replay.
@@ -313,65 +302,37 @@ class SimilarityIndex:
         """Eagerly build serving backends (otherwise built lazily on first
         use), so callers can separate build time from query time; returns
         ``self`` for chaining.  ``"cascade"`` needs no extra build."""
-        for method in methods:
-            if method != "cascade":
-                self._knn_index(method)
+        self._routed().prepare(*methods)
         return self
 
     # -- pickling / pool publication ------------------------------------------
 
     def __getstate__(self) -> dict:
         # Metric-space backends hold metric closures (unpicklable) and
-        # rebuild lazily per process; publication tokens are per-process.
-        state = dict(self.__dict__)
+        # rebuild lazily per process; the probe arrays and the router
+        # are derived.
+        state = super().__getstate__()
         state["_knn"] = {}
-        state["_published"] = None
-        state["_probe_arrays"] = None  # derived; rebuilt lazily per process
+        state["_probe_arrays"] = None
+        state["_router"] = None
         return state
 
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        # A clone is a distinct publishable identity: keeping the
-        # original's share_key would make the clone's publication evict
-        # the original's from the sharing registry.
-        self.share_key = f"{os.getpid()}-{next(_SHARE_KEYS)}"
-
-    def ensure_published(self) -> str:
-        """Publish this snapshot to the shared pool once; return its token."""
-        if self._published is None:
-            from repro.service.sharing import publish_snapshot
-
-            self._published = publish_snapshot(self)
-        return self._published
-
     def unpublish(self) -> None:
-        """Withdraw this snapshot from the shared pool.
+        """Withdraw this snapshot -- and its serving router's -- from the
+        shared pool (see :meth:`Publishable.unpublish`)."""
+        super().unpublish()
+        if self._router is not None:
+            self._router.unpublish()
 
-        A publication pins the snapshot in the process-wide registry and
-        in the pool start-up payload; a long-lived server discarding an
-        index should unpublish it first (``append`` does this
-        automatically before its re-publication).  Safe to call when
-        never published; the next pooled serve re-publishes.
-        """
-        from repro.service.sharing import unpublish_snapshot
+    # -- serving: the 1-shard router -------------------------------------------
 
-        unpublish_snapshot(self)
-        self._published = None
+    def _routed(self):
+        """The serving router over ``self``, built on first use."""
+        if self._router is None:
+            from repro.shard.index import ShardedIndex
 
-    # -- result cache ----------------------------------------------------------
-
-    def _cache_get(self, key):
-        value = self._cache.get(key, _MISS)
-        if value is _MISS:
-            self.counters[COUNTER_CACHE_MISSES] += 1
-            return None
-        self.counters[COUNTER_CACHE_HITS] += 1
-        return value
-
-    def _cache_put(self, key, value) -> None:
-        self._cache.put(key, value)
-
-    # -- the full join ----------------------------------------------------------
+            self._router = ShardedIndex._over(self)
+        return self._router
 
     def join(
         self,
@@ -393,31 +354,9 @@ class SimilarityIndex:
         answers a parallel request too.  Treat returned reports as
         read-only (cache hits return the same object).
         """
-        key = (
-            "join",
-            threshold,
-            max_token_frequency,
-            n_machines,
-            tuple(sorted(config_overrides.items())),
+        return self._routed().join(
+            threshold, max_token_frequency, n_machines, engine, **config_overrides
         )
-        cached = self._cache_get(key)
-        if cached is not None:
-            return cached
-        from repro.core.api import join_records
-
-        report = join_records(
-            self._names,
-            self._records,
-            threshold=threshold,
-            max_token_frequency=max_token_frequency,
-            n_machines=n_machines,
-            engine=engine,
-            **config_overrides,
-        )
-        self._cache_put(key, report)
-        return report
-
-    # -- batched probe paths -----------------------------------------------------
 
     def topk(
         self,
@@ -438,13 +377,11 @@ class SimilarityIndex:
         * ``"fuzzymatch"`` -- **FMS similarity, descending** via the
           FuzzyMatch index (results are token-joined strings).
 
-        ``processes > 1`` fans the batch out over the shared worker pool
-        against the published snapshot (results identical, see
-        :mod:`repro.service.sharing`).
+        ``processes > 1`` fans a multi-query batch out over the shared
+        worker pool against the published router (results and counters
+        identical, see :meth:`repro.shard.ShardedIndex.topk`).
         """
-        if k < 1:
-            raise ValueError("k must be positive")
-        return self._serve("topk", queries, {"k": k, "method": method}, processes)
+        return self._routed().topk(queries, k, method, processes)
 
     def within(
         self,
@@ -459,92 +396,21 @@ class SimilarityIndex:
         (NSLD for ``cascade``/``vptree``, SLD for ``bktree``);
         ``fuzzymatch`` has no range semantics and is rejected.
         """
-        if radius < 0:
-            raise ValueError("radius must be non-negative")
-        if method == "fuzzymatch":
-            raise ValueError("within() is not defined for the fuzzymatch method")
-        return self._serve(
-            "within", queries, {"radius": radius, "method": method}, processes
-        )
+        return self._routed().within(queries, radius, method, processes)
 
-    def _serve(self, operation, queries, kwargs, processes):
-        if isinstance(queries, str):
-            queries = [queries]
-        from repro.service.sharing import serve_batch
+    # -- shard primitives ---------------------------------------------------------
+    #
+    # The router runs every serving algorithm (seeding, radius expansion,
+    # caching, metering) and calls these per shard.  They are cache-free,
+    # speak local record ids, take the router's tokenized query, and
+    # charge cascade counters only to the ``counters`` dict they are
+    # handed -- never to :attr:`counters` -- so a router sharing this
+    # index's counters never counts twice.
 
-        return serve_batch(self, operation, queries, kwargs, processes or 0)
-
-    # -- per-query serving (also the pool workers' entry points) ----------------
-
-    def _topk_one(
-        self, query: str, k: int, method: str = "cascade"
-    ) -> list[tuple[str, float]]:
-        key = ("topk", method, query, k)
-        cached = self._cache_get(key)
-        if cached is not None:
-            return list(cached)  # callers own their copy, never the cache's
-        if method != "cascade":
-            result = self._knn_topk(query, k, method)
-        else:
-            record, token_ids = self._prepare(query)
-            k_effective = min(k, len(self._records))
-            if k_effective == 0:
-                result = []
-            else:
-                known = self._seed_candidates(record, token_ids, k_effective)
-                if len(known) >= k_effective:
-                    radius = sorted(known.values())[k_effective - 1]
-                else:
-                    radius = 0.25
-                while True:
-                    # ``known`` accumulates every exact distance verified
-                    # so far, so an expansion pass never re-verifies the
-                    # previous window.
-                    hits = self._within_ids(record, radius, known)
-                    if len(hits) >= k_effective or radius >= 1.0:
-                        break
-                    radius = min(1.0, radius * 2.0)
-                result = [
-                    (self._names[record_id], distance)
-                    for record_id, distance in hits[:k_effective]
-                ]
-        self._cache_put(key, result)
-        return list(result)
-
-    def _within_one(
-        self, query: str, radius: float, method: str = "cascade"
-    ) -> list[tuple[str, float]]:
-        key = ("within", method, query, radius)
-        cached = self._cache_get(key)
-        if cached is not None:
-            return list(cached)  # callers own their copy, never the cache's
-        if method != "cascade":
-            result = self._knn_within(query, radius, method)
-        else:
-            record, token_ids = self._prepare(query)
-            result = [
-                (self._names[record_id], distance)
-                for record_id, distance in self._within_ids(record, radius)
-            ]
-        self._cache_put(key, result)
-        return list(result)
-
-    def _prepare(self, query: str) -> tuple[TokenizedString, tuple[int, ...]]:
-        record = self.tokenizer.tokenize(query)
-        return record, self._vocab.intern_all(record.tokens)
-
-    def _seed_candidates(
-        self,
-        record: TokenizedString,
-        token_ids: tuple[int, ...],
-        k: int,
-    ) -> dict[int, float]:
-        """Probe the token postings and verify the best-overlapping seeds.
-
-        Seeds tighten the initial top-k radius to the k-th seed distance
-        (one complete ``within`` pass instead of blind expansion); they
-        never affect correctness, so the fully-verified set is capped.
-        """
+    def _shard_overlap(self, record: TokenizedString) -> dict[int, int]:
+        """Distinct-query-token overlap per local record id (no counters);
+        the router merges these into the global seed ranking."""
+        token_ids = self._vocab.intern_all(record.tokens)
         lookup = self._token_postings.lookup_ref()
         postings = self._token_postings.postings
         overlap: Counter = Counter()
@@ -552,52 +418,126 @@ class SimilarityIndex:
             signature_id = lookup(token_id)
             if signature_id is not None:
                 overlap.update(postings[signature_id])
-        cap = max(_MIN_SEED_CAP, _SEED_FACTOR * k)
-        ranked = sorted(overlap.items(), key=lambda item: (-item[1], item[0]))
-        counters = self.counters
-        known: dict[int, float] = {}
-        for record_id, _ in ranked[:cap]:
-            counters[COUNTER_CANDIDATES] += 1
-            counters[COUNTER_VERIFIED] += 1
-            known[record_id] = self._nsld_to(record, record_id)
-        return known
+        return overlap
 
-    def _within_ids(
+    def _shard_verify(
+        self, record: TokenizedString, record_ids: Sequence[int]
+    ) -> list[tuple[int, float]]:
+        """Exact NSLD to each listed local record (no counter bumps --
+        the router charges the canonical seed counters itself)."""
+        return [
+            (record_id, self._nsld_to(record, record_id))
+            for record_id in record_ids
+        ]
+
+    def _shard_within(
         self,
         record: TokenizedString,
         radius: float,
-        known: dict[int, float] | None = None,
+        known: dict[int, float] | None,
+        counters: dict[str, int],
     ) -> list[tuple[int, float]]:
-        """All record ids within NSLD ``radius`` of ``record``.
+        """All local record ids within NSLD ``radius`` of ``record``.
 
         Complete by construction: Lemma 6 makes the aggregate-length
-        window a superset of every qualifying record, the filter cascade
-        only prunes on sound lower bounds, and survivors are verified
-        exactly.  Returns ``(record_id, distance)`` sorted by
-        ``(distance, record_id)`` -- the oracle tie-break.
+        window a superset of every qualifying record, the filters only
+        prune on sound lower bounds, and survivors are verified exactly.
+        Returns ``(record_id, distance)`` sorted by ``(distance,
+        record_id)`` -- the oracle tie-break.
 
         ``known`` is a read/write memo of exact distances: entries are
-        trusted instead of re-verified, and every exact distance this
-        pass computes is written back (so the top-k expansion loop never
-        re-verifies a previous, smaller window).
-
-        Under the ``vector`` backend the per-candidate cascade loop is
-        replaced by the array probe (:meth:`_within_ids_vector`):
-        identical results, identical counter totals, batched filters.
+        trusted instead of re-verified (and never charged as
+        candidates), and every exact distance this pass computes is
+        written back, so the top-k expansion loop never re-verifies a
+        previous, smaller window.  The scalar and ``vector`` probes share
+        this whole skeleton; only the filter arithmetic differs
+        (:meth:`_admit_scalar` / :meth:`_admit_vector`).
         """
-        if resolve_backend(self.backend) == "vector":
-            return self._within_ids_vector(record, radius, known)
-        query_length = record.aggregate_length
+        vector = resolve_backend(self.backend) == "vector"
         lengths = self._lengths
         if radius >= 1.0:
-            window = range(len(self._records))
+            start, stop = 0, len(lengths)
         else:
+            query_length = record.aggregate_length
             low = math.floor((1.0 - radius) * query_length)
             high = math.ceil(query_length / (1.0 - radius))
             start = bisect_left(lengths, (low, -1))
-            stop = bisect_right(lengths, (high, len(self._records)))
+            stop = bisect_right(lengths, (high, len(lengths)))
+        if vector:
+            window = self._arrays()[0][start:stop]
+        else:
             window = [record_id for _, record_id in lengths[start:stop]]
 
+        results: list[tuple[float, int]] = []
+        if known:
+            fresh = []
+            for record_id in window.tolist() if vector else window:
+                distance = known.get(record_id)
+                if distance is None:
+                    fresh.append(record_id)
+                elif distance <= radius:
+                    results.append((distance, record_id))
+        else:
+            fresh = window
+
+        admit = self._admit_vector if vector else self._admit_scalar
+        survivors = admit(record, radius, fresh, counters)
+
+        records = self._records
+        single_token_ids: list[int] = []
+        if record.token_count == 1:
+            single_token_ids = [
+                record_id
+                for record_id in survivors
+                if records[record_id].token_count == 1
+            ]
+            if single_token_ids:
+                survivors = [
+                    record_id
+                    for record_id in survivors
+                    if records[record_id].token_count != 1
+                ]
+
+        counters[COUNTER_VERIFIED] += len(survivors)
+        for record_id in survivors:
+            distance = self._nsld_to(record, record_id)
+            if known is not None:
+                known[record_id] = distance
+            if distance <= radius:
+                results.append((distance, record_id))
+
+        if single_token_ids:
+            # Single-token records: NSLD == NLD of the two tokens, so the
+            # whole group verifies in one batched call.
+            strings = [record.tokens[0]] + [
+                records[record_id].tokens[0] for record_id in single_token_ids
+            ]
+            pairs = [(0, position + 1) for position in range(len(single_token_ids))]
+            distances = verify_nld_pairs(
+                pairs, strings, radius, backend=self.backend, counters=counters
+            )
+            for record_id, distance in zip(single_token_ids, distances):
+                if distance is not None:
+                    # Within-radius values are exact -- memoize them so an
+                    # expansion pass reuses them like the Hungarian path's.
+                    # (A ``None`` only proves > radius; nothing to keep.)
+                    if known is not None:
+                        known[record_id] = distance
+                    results.append((distance, record_id))
+
+        results.sort()
+        return [(record_id, distance) for distance, record_id in results]
+
+    def _admit_scalar(
+        self,
+        record: TokenizedString,
+        radius: float,
+        fresh: Sequence[int],
+        counters: dict[str, int],
+    ) -> list[int]:
+        """The per-candidate filter cascade: Lemma 6 length bound, then
+        the histogram bound; survivors in window order."""
+        query_length = record.aggregate_length
         records = self._records
         bound_filter = self._probe_filter
         query_histogram = encode_histogram(record.length_histogram)
@@ -613,45 +553,20 @@ class SimilarityIndex:
             )
             return bound <= radius
 
-        cascade = FilterCascade(
+        return FilterCascade(
             (COUNTER_PRUNED_LENGTH, length_admits),
             (COUNTER_PRUNED_COUNT, histogram_admits),
-            counters=self.counters,
-        )
-
-        counters = self.counters
-        results: list[tuple[float, int]] = []
-        single_token_ids: list[int] = []
-        query_is_single = record.token_count == 1
-        for record_id in window:
-            if known is not None:
-                distance = known.get(record_id)
-                if distance is not None:
-                    if distance <= radius:
-                        results.append((distance, record_id))
-                    continue
-            if not cascade.admit(record_id):
-                continue
-            if query_is_single and records[record_id].token_count == 1:
-                single_token_ids.append(record_id)
-                continue
-            counters[COUNTER_VERIFIED] += 1
-            distance = self._nsld_to(record, record_id)
-            if known is not None:
-                known[record_id] = distance
-            if distance <= radius:
-                results.append((distance, record_id))
-
-        return self._finish_within(record, radius, known, results, single_token_ids)
+            counters=counters,
+        ).admitted(fresh)
 
     def _arrays(self) -> tuple:
-        """The ``vector`` probe's array mirror of the snapshot, built lazily.
+        """The ``vector`` filters' array mirror of the snapshot, built lazily.
 
         Columns, all aligned or keyed by record id:
 
-        * the length partition (sorted aggregate lengths + their record
-          ids -- ``self._lengths`` unzipped, for ``searchsorted``);
-        * per-record aggregate lengths and token counts;
+        * the record ids in length-partition order (``self._lengths``
+          unzipped, sliced by the shared window);
+        * per-record aggregate lengths;
         * per-record *dense histogram ids* plus the distinct encoded
           histograms, so the histogram bound is computed once per
           distinct histogram in a window and fanned out by gather.
@@ -660,11 +575,6 @@ class SimilarityIndex:
         if built is None:
             np = numpy_or_none()
             records = self._records
-            length_vals = np.fromiter(
-                (length for length, _ in self._lengths),
-                dtype=np.int64,
-                count=len(records),
-            )
             length_ids = np.fromiter(
                 (record_id for _, record_id in self._lengths),
                 dtype=np.int64,
@@ -672,11 +582,6 @@ class SimilarityIndex:
             )
             aggregate = np.fromiter(
                 (record.aggregate_length for record in records),
-                dtype=np.int64,
-                count=len(records),
-            )
-            token_counts = np.fromiter(
-                (record.token_count for record in records),
                 dtype=np.int64,
                 count=len(records),
             )
@@ -690,63 +595,33 @@ class SimilarityIndex:
                     distinct.append(histogram)
                 histogram_ids[record_id] = slot
             built = self._probe_arrays = (
-                length_vals,
                 length_ids,
                 aggregate,
-                token_counts,
                 histogram_ids,
                 distinct,
             )
         return built
 
-    def _within_ids_vector(
+    def _admit_vector(
         self,
         record: TokenizedString,
         radius: float,
-        known: dict[int, float] | None,
-    ) -> list[tuple[int, float]]:
-        """The array-probe twin of the cascade loop in :meth:`_within_ids`.
+        fresh,
+        counters: dict[str, int],
+    ) -> list[int]:
+        """The array twin of :meth:`_admit_scalar`, counter-identical.
 
-        Counter-identical by construction: every candidate the scalar
-        loop would charge ``candidates_generated`` for is in ``fresh``;
-        the length mask reproduces ``nsld_length_lower_bound`` in IEEE
+        Every fresh candidate is charged ``candidates_generated``; the
+        length mask reproduces ``nsld_length_lower_bound`` in IEEE
         float64 exactly (``2d / (L(x) + L(y) + d)``, 0 for two empties),
         so ``pruned_by_length`` / ``pruned_by_count`` are the same mask
-        sums the scalar cascade tallies one admit() at a time; survivors
-        flow through the identical verification tail in the identical
-        (window) order.
+        sums the scalar cascade tallies one ``admit()`` at a time, and
+        the survivors keep window order.
         """
         np = numpy_or_none()
-        (
-            length_vals,
-            length_ids,
-            aggregate,
-            token_counts,
-            histogram_ids,
-            distinct,
-        ) = self._arrays()
+        _, aggregate, histogram_ids, distinct = self._arrays()
+        fresh = np.asarray(fresh, dtype=np.int64)
         query_length = record.aggregate_length
-        if radius >= 1.0:
-            window_ids = np.arange(len(self._records), dtype=np.int64)
-        else:
-            low = math.floor((1.0 - radius) * query_length)
-            high = math.ceil(query_length / (1.0 - radius))
-            start = int(np.searchsorted(length_vals, low, side="left"))
-            stop = int(np.searchsorted(length_vals, high, side="right"))
-            window_ids = length_ids[start:stop]
-
-        results: list[tuple[float, int]] = []
-        if known:
-            known_ids = np.fromiter(known.keys(), dtype=np.int64, count=len(known))
-            for record_id in known_ids[np.isin(known_ids, window_ids)].tolist():
-                distance = known[record_id]
-                if distance <= radius:
-                    results.append((distance, record_id))
-            fresh = window_ids[~np.isin(window_ids, known_ids)]
-        else:
-            fresh = window_ids
-
-        counters = self.counters
         counters[COUNTER_CANDIDATES] += int(fresh.size)
 
         gaps = np.abs(aggregate[fresh] - query_length)
@@ -769,55 +644,7 @@ class SimilarityIndex:
             histogram_ok = bounds[slots] <= radius
             counters[COUNTER_PRUNED_COUNT] += int(slots.size - histogram_ok.sum())
             survivors = survivors[histogram_ok]
-
-        single_token_ids: list[int] = []
-        if record.token_count == 1 and survivors.size:
-            singles = token_counts[survivors] == 1
-            single_token_ids = survivors[singles].tolist()
-            survivors = survivors[~singles]
-
-        counters[COUNTER_VERIFIED] += int(survivors.size)
-        for record_id in survivors.tolist():
-            distance = self._nsld_to(record, record_id)
-            if known is not None:
-                known[record_id] = distance
-            if distance <= radius:
-                results.append((distance, record_id))
-
-        return self._finish_within(record, radius, known, results, single_token_ids)
-
-    def _finish_within(
-        self,
-        record: TokenizedString,
-        radius: float,
-        known: dict[int, float] | None,
-        results: list[tuple[float, int]],
-        single_token_ids: list[int],
-    ) -> list[tuple[int, float]]:
-        """Shared tail of both probe paths: the batched single-token group,
-        then the oracle's ``(distance, record_id)`` ordering."""
-        if single_token_ids:
-            # Single-token records: NSLD == NLD of the two tokens, so the
-            # whole group verifies in one batched call.
-            records = self._records
-            strings = [record.tokens[0]] + [
-                records[record_id].tokens[0] for record_id in single_token_ids
-            ]
-            pairs = [(0, position + 1) for position in range(len(single_token_ids))]
-            distances = verify_nld_pairs(
-                pairs, strings, radius, backend=self.backend, counters=self.counters
-            )
-            for record_id, distance in zip(single_token_ids, distances):
-                if distance is not None:
-                    # Within-radius values are exact -- memoize them so an
-                    # expansion pass reuses them like the Hungarian path's.
-                    # (A ``None`` only proves > radius; nothing to keep.)
-                    if known is not None:
-                        known[record_id] = distance
-                    results.append((distance, record_id))
-
-        results.sort()
-        return [(record_id, distance) for distance, record_id in results]
+        return survivors.tolist()
 
     def _nsld_to(self, record: TokenizedString, record_id: int) -> float:
         """Exact NSLD between a prepared query and an indexed record.
@@ -835,161 +662,47 @@ class SimilarityIndex:
 
         return nsld(record, self._records[record_id], token_ld=token_ld)
 
-    # -- shard-router entry points ----------------------------------------------
-    #
-    # The :class:`repro.shard.ShardedIndex` router reconstructs the
-    # serial algorithms *globally* (seeding, radius expansion, caching,
-    # counter bumps all happen at the router), so the per-shard pieces
-    # it scatters -- in-process or to pool workers -- must be cache-free
-    # and, where the router does the metering itself, counter-free.
-    # They speak local record ids; the router owns the global mapping.
-
-    def _shard_overlap(self, query: str) -> dict[int, int]:
-        """Distinct-query-token overlap per local record id (no counters).
-
-        The router merges these disjoint per-shard dicts into the global
-        overlap ranking that seeds :meth:`_topk_one`'s search radius.
-        """
-        _, token_ids = self._prepare(query)
-        lookup = self._token_postings.lookup_ref()
-        postings = self._token_postings.postings
-        overlap: Counter = Counter()
-        for token_id in set(token_ids):
-            signature_id = lookup(token_id)
-            if signature_id is not None:
-                overlap.update(postings[signature_id])
-        return dict(overlap)
-
-    def _shard_verify(
-        self, query: str, record_ids: Sequence[int]
-    ) -> list[tuple[int, float]]:
-        """Exact NSLD to each listed local record (no counter bumps --
-        the router charges the canonical seed counters itself)."""
-        record, _ = self._prepare(query)
-        return [
-            (record_id, self._nsld_to(record, record_id))
-            for record_id in record_ids
-        ]
-
-    def _shard_within(
-        self,
-        query: str,
-        radius: float,
-        known: dict[int, float] | None = None,
-    ) -> tuple[list[tuple[int, float]], dict[int, float]]:
-        """One shard's slice of a ``within`` pass, cache-free.
-
-        Runs the identical :meth:`_within_ids` pipeline (cascade
-        counters land in :attr:`counters` exactly as the serial path's
-        would -- the router sums the per-shard deltas) and returns the
-        local ``(record_id, distance)`` hits plus the *fresh* exact
-        distances this pass verified, so the router can extend its
-        global memo across expansion rounds and pool round-trips.
-        """
-        record, _ = self._prepare(query)
-        if known is None:
-            return self._within_ids(record, radius), {}
-        memo = dict(known)
-        hits = self._within_ids(record, radius, memo)
-        fresh = {
-            record_id: distance
-            for record_id, distance in memo.items()
-            if record_id not in known
-        }
-        return hits, fresh
-
     def _shard_topk_knn(
-        self, query: str, k: int, method: str
+        self, record: TokenizedString, k: int, method: str
     ) -> list[tuple[int, float]]:
-        """This shard's canonical metric-tree top-k as local-id pairs.
+        """This shard's metric-tree top-k under the canonical ``(distance,
+        id)`` order, as local-id pairs.
 
-        The global canonical top-k is a sub-multiset of the per-shard
-        canonical top-k lists (the standard scatter-gather merge
-        property), so the router can sort the union by ``(distance,
-        global id)`` and keep ``k``.
+        The trees themselves break distance ties by traversal order --
+        an artifact of insertion layout that no scatter-gather merge can
+        reproduce across shard boundaries.  Take the tree's ``k`` best to
+        learn the k-th distance, close the tie set with a ``within``
+        sweep at that distance, and keep the first ``k`` under
+        ``(distance, record id)``.  The global canonical top-k is then a
+        sub-multiset of the per-shard lists, so the router can sort the
+        union by ``(distance, global id)`` and keep ``k``.
         """
-        backend_index = self._knn_index(method)
-        record, _ = self._prepare(query)
-        return self._canonical_knn_topk(backend_index, record, k)
+        neighbors = self._knn_index(method).nearest(record, k)
+        if not neighbors:
+            return []
+        bound = max(distance for _, distance in neighbors)
+        return self._shard_within_knn(record, bound, method)[:k]
 
     def _shard_within_knn(
-        self, query: str, radius: float, method: str
+        self, record: TokenizedString, radius: float, method: str
     ) -> list[tuple[int, float]]:
         """This shard's metric-tree range hits as local-id pairs."""
-        backend_index = self._knn_index(method)
-        record, _ = self._prepare(query)
         return sorted(
             (
                 (int(record_id), float(distance))
-                for record_id, distance in backend_index.within(record, radius)
+                for record_id, distance in self._knn_index(method).within(
+                    record, radius
+                )
             ),
             key=lambda hit: (hit[1], hit[0]),
         )
 
     # -- metric-space serving backends ------------------------------------------
 
-    def _knn_topk(self, query: str, k: int, method: str) -> list[tuple[str, float]]:
-        backend_index = self._knn_index(method)
-        record, _ = self._prepare(query)
-        if method == "fuzzymatch":
-            return [
-                (" ".join(tokens), score)
-                for tokens, score in backend_index.query(list(record.tokens), k=k)
-            ]
-        return [
-            (self._names[record_id], distance)
-            for record_id, distance in self._canonical_knn_topk(
-                backend_index, record, k
-            )
-        ]
-
-    @staticmethod
-    def _canonical_knn_topk(
-        backend_index, record: TokenizedString, k: int
-    ) -> list[tuple[int, float]]:
-        """Metric-tree top-k under the canonical ``(distance, id)`` order.
-
-        The trees themselves break distance ties by traversal order --
-        an artifact of insertion layout that no scatter-gather merge can
-        reproduce across shard boundaries.  Serving canonicalizes: take
-        the tree's ``k`` best to learn the k-th distance, close the tie
-        set with a ``within`` sweep at that distance, and keep the first
-        ``k`` under ``(distance, record id)`` -- the same tie-break every
-        cascade path already uses.
-        """
-        neighbors = backend_index.nearest(record, k)
-        if not neighbors:
-            return []
-        bound = max(distance for _, distance in neighbors)
-        closed = sorted(
-            (
-                (int(record_id), float(distance))
-                for record_id, distance in backend_index.within(record, bound)
-            ),
-            key=lambda hit: (hit[1], hit[0]),
-        )
-        return closed[:k]
-
-    def _knn_within(
-        self, query: str, radius: float, method: str
-    ) -> list[tuple[str, float]]:
-        backend_index = self._knn_index(method)
-        record, _ = self._prepare(query)
-        return [
-            (self._names[record_id], distance)
-            for record_id, distance in sorted(
-                (
-                    (int(record_id), float(distance))
-                    for record_id, distance in backend_index.within(record, radius)
-                ),
-                key=lambda hit: (hit[1], hit[0]),
-            )
-        ]
-
     def _knn_index(self, method: str):
-        from repro.api.registry import validate_choice
-
-        validate_choice("serving method", method, SERVE_METHODS)
+        """The lazily built ``vptree`` / ``bktree`` over this snapshot
+        (``fuzzymatch`` weights are corpus-global, so the router holds
+        that index)."""
         built = self._knn.get(method)
         if built is None:
             # Deferred imports: the metric-tree backends are optional
@@ -1001,17 +714,11 @@ class SimilarityIndex:
                     list(range(len(self._records))),
                     metric=self._id_metric("nsld"),
                 )
-            elif method == "bktree":
+            else:  # bktree
                 from repro.knn import BKTree
 
                 built = BKTree(metric=self._id_metric("sld"))
                 built.extend(range(len(self._records)))
-            else:  # fuzzymatch
-                from repro.knn import FuzzyMatchIndex
-
-                built = FuzzyMatchIndex(
-                    [list(record.tokens) for record in self._records]
-                )
             self._knn[method] = built
         return built
 

@@ -1,12 +1,11 @@
 """Pool-shared snapshots: serve batched probes without re-shipping state.
 
-The PR 2 worker pool (:mod:`repro.runtime.pool`) originally received
-every byte of state *per task*: ``verify_pairs`` ships the string pairs
+The shared worker pool (:mod:`repro.runtime.pool`) receives every byte
+of a task's state *per task*: ``verify_pairs`` ships the string pairs
 of each chunk, the parallel engine ships whole job shards.  For a
-resident :class:`repro.service.SimilarityIndex` that would mean
-re-pickling the tokenized collection, the interned vocab and the
-postings for every batch of queries -- exactly the build cost the
-serving layer exists to amortize.
+resident serving index that would mean re-pickling the tokenized
+collection, the interned vocab and the postings for every batch of
+queries -- exactly the build cost the serving layer exists to amortize.
 
 This module publishes a snapshot to the pool **once** instead:
 
@@ -18,32 +17,29 @@ This module publishes a snapshot to the pool **once** instead:
 * on **spawn/forkserver** platforms the initializer arguments are
   pickled to each worker exactly once at pool start-up -- the explicit
   broadcast fallback (cost: one snapshot pickle per worker, not per
-  task);
-* serve tasks then ship only ``(token, queries, kwargs)`` -- the
-  snapshot never travels again, and results (plus the workers' counter
-  deltas, so observability survives the fan-out) come back positionally
-  aligned with the query batch.
+  task).
 
-Results are byte-identical to in-process serving: a serve task is a
-pure function of the published snapshot and the query batch
-(property-tested in ``tests/service/test_sharing.py``).
+What gets published is the serving router
+(:class:`repro.shard.ShardedIndex`, the 1-shard one a
+:class:`repro.service.SimilarityIndex` serves through included): its
+pooled path ships only ``(token, operation, queries, ...)`` per chunk
+and is the one place the serving layer fans out -- see
+``ShardedIndex._serve``.  :class:`Publishable` is the publication
+bookkeeping both index classes share.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
-from typing import Any, Sequence
+from typing import Any
 
-from repro.faults import fault_point
 from repro.runtime.pool import (
-    in_worker_process,
     register_worker_initializer,
-    resilient_pool_map,
     unregister_worker_initializer,
 )
 
-#: Per-process snapshot registry: publish token -> SimilarityIndex.  In
+#: Per-process snapshot registry: publish token -> index.  In
 #: the parent it holds every published snapshot; in workers it is filled
 #: by fork inheritance or the initializer broadcast.
 _SNAPSHOTS: dict[str, Any] = {}
@@ -54,18 +50,19 @@ _SNAPSHOTS: dict[str, Any] = {}
 _TOKENS_BY_KEY: dict[str, str] = {}
 
 _SEQUENCE = itertools.count()
+_SHARE_KEYS = itertools.count()
 
 
 def publish_snapshot(index) -> str:
     """Make ``index`` resolvable in every shared-pool worker; return its token.
 
     Safe to call repeatedly: each call mints a fresh token (the serving
-    layer re-publishes after :meth:`SimilarityIndex.append`), and the
-    per-index key makes the newest publication *replace* the previous
-    one -- in the parent registry and in the pool's start-up payload --
-    instead of accumulating stale versions.  A publication pins the
-    snapshot for the process lifetime; call :func:`unpublish_snapshot`
-    (or :meth:`SimilarityIndex.unpublish`) before discarding an index a
+    layer re-publishes after an ``append``), and the per-index key makes
+    the newest publication *replace* the previous one -- in the parent
+    registry and in the pool's start-up payload -- instead of
+    accumulating stale versions.  A publication pins the snapshot for
+    the process lifetime; call :func:`unpublish_snapshot` (or
+    :meth:`Publishable.unpublish`) before discarding an index a
     long-lived server no longer serves.
     """
     token = f"simindex-{os.getpid()}-{next(_SEQUENCE)}"
@@ -113,64 +110,44 @@ def resolve_snapshot(token: str):
         ) from None
 
 
-def _serve_chunk(
-    payload: tuple[str, str, list[str], dict],
-) -> tuple[list, dict[str, int]]:
-    """Worker entry point: serve one chunk of queries from the snapshot.
+class Publishable:
+    """Pool-publication bookkeeping for a serving index.
 
-    Returns the per-query results plus the counter increments this chunk
-    produced, so the parent can merge observability back in.
+    Subclasses call :meth:`_init_publication` from ``__init__``.  A
+    pickled clone is a distinct publishable identity: it carries no
+    publication token (tokens are per-process) and gets a fresh
+    ``share_key``, because keeping the original's would make the clone's
+    publication evict the original's from the registry.
     """
-    token, operation, queries, kwargs = payload
-    fault_point("serve.chunk")
-    index = resolve_snapshot(token)
-    before = dict(index.counters)
-    serve = getattr(index, f"_{operation}_one")
-    results = [serve(query, **kwargs) for query in queries]
-    delta = {
-        name: value - before.get(name, 0)
-        for name, value in index.counters.items()
-        if value != before.get(name, 0)
-    }
-    return results, delta
 
+    def _init_publication(self) -> None:
+        #: Stable identity for pool-publication bookkeeping.
+        self.share_key = f"{os.getpid()}-{next(_SHARE_KEYS)}"
+        self._published: str | None = None
 
-def serve_batch(
-    index,
-    operation: str,
-    queries: Sequence[str],
-    kwargs: dict,
-    processes: int,
-) -> list:
-    """Fan a query batch out over the shared pool against a published snapshot.
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state["_published"] = None
+        return state
 
-    ``operation`` names a per-query serve method (``"topk"`` or
-    ``"within"``); each worker resolves its local snapshot copy and runs
-    the identical in-process code path, so results are byte-identical to
-    serial serving.  Counter deltas from the workers are merged into the
-    parent index's counters.  Falls back to in-process serving inside a
-    pool worker (nested fan-out is not allowed).
-    """
-    queries = list(queries)
-    if in_worker_process() or processes <= 1 or len(queries) <= 1:
-        serve = getattr(index, f"_{operation}_one")
-        return [serve(query, **kwargs) for query in queries]
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.share_key = f"{os.getpid()}-{next(_SHARE_KEYS)}"
 
-    token = index.ensure_published()
-    workers = min(processes, len(queries))
-    chunk_size = (len(queries) + workers - 1) // workers
-    chunks = [
-        (token, operation, queries[k : k + chunk_size], kwargs)
-        for k in range(0, len(queries), chunk_size)
-    ]
-    # The snapshot registry also holds every published snapshot in the
-    # parent, so resilient_pool_map's in-process degradation path can
-    # resolve the token and serve the identical chunks locally.
-    outcomes = resilient_pool_map(
-        _serve_chunk, chunks, workers, label="serve chunks"
-    )
-    counters = index.counters
-    for _, delta in outcomes:
-        for name, value in delta.items():
-            counters[name] = counters.get(name, 0) + value
-    return [result for results, _ in outcomes for result in results]
+    def ensure_published(self) -> str:
+        """Publish this snapshot to the shared pool once; return its token."""
+        if self._published is None:
+            self._published = publish_snapshot(self)
+        return self._published
+
+    def unpublish(self) -> None:
+        """Withdraw this snapshot from the shared pool.
+
+        A publication pins the snapshot in the process-wide registry and
+        in the pool start-up payload; a long-lived server discarding an
+        index should unpublish it first (``append`` does this
+        automatically before its re-publication).  Safe to call when
+        never published; the next pooled serve re-publishes.
+        """
+        unpublish_snapshot(self)
+        self._published = None

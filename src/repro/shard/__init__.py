@@ -1,7 +1,8 @@
 """Sharded serving: partition, route, scatter-gather, persist.
 
-* :class:`ShardedIndex` -- N-shard scatter-gather serving with the
-  single-index surface and oracle-equal results/counters
+* :class:`ShardedIndex` -- the serving router for N >= 1 shards (an
+  unsharded :class:`repro.service.SimilarityIndex` serves through a
+  1-shard one) with oracle-equal results/counters
   (:mod:`repro.shard.index`);
 * placements -- ``length`` (Lemma 6 shard pruning) and ``hash``
   (uniform baseline) (:mod:`repro.shard.placement`);

@@ -1,14 +1,15 @@
-"""Sharded serving: one corpus, N :class:`SimilarityIndex` shards.
+"""The serving router: one corpus, N :class:`SimilarityIndex` shards.
 
-A :class:`ShardedIndex` partitions a corpus across N independent
-:class:`repro.service.SimilarityIndex` shards by a pluggable
-:mod:`placement <repro.shard.placement>` and serves the *identical*
-public surface -- ``topk`` / ``within`` / ``join`` / ``append`` -- by
-scatter-gather: route each request to the shards that can possibly
-answer it, run the ordinary per-shard pipeline there (in-process or on
-the shared :mod:`runtime.pool <repro.runtime.pool>` workers via
-:mod:`repro.service.sharing` snapshot publication), and merge the
-partial results under the canonical ``(distance, id)`` tie-break.
+:class:`ShardedIndex` is the **only serving algorithm** in the package.
+It partitions a corpus across N :class:`repro.service.SimilarityIndex`
+shards by a pluggable :mod:`placement <repro.shard.placement>` and
+serves ``topk`` / ``within`` / ``join`` / ``append`` by routing each
+request to the shards that can possibly answer it, running the shards'
+cache-free ``_shard_*`` primitives there, and merging under the
+canonical ``(distance, id)`` tie-break.  An unsharded
+:class:`~repro.service.SimilarityIndex` serves through a 1-shard router
+over itself (``ShardedIndex._over``) that shares its counters and
+result cache, so the flat and sharded layouts run the same code.
 
 The router is where the paper's Lemma 6 earns its second keep.  Under
 the ``length`` placement each shard owns a contiguous aggregate-length
@@ -24,29 +25,33 @@ cascade/cache counters and join reports are *equal to the single-index
 oracle*.  The design choices that make that exact rather than
 approximate:
 
-* the router owns the result cache and all counters.  Shards are built
-  with ``cache_size=0`` and are driven through cache-free ``_shard_*``
-  entry points, so a probed shard can never mint a cache miss the
-  serial index would not have;
-* cascade counters are *summed shard deltas*.  The per-shard Lemma 6
-  windows partition the serial window (lengths don't overlap between a
-  record and itself), so candidates/pruned/verified tallies add up to
-  the oracle's exactly -- and a length-pruned shard would have
-  contributed an empty window slice, making the skip counter-neutral;
-* the top-k search (seeding, radius schedule, expansion memo) is
-  re-run *globally* at the router from merged per-shard overlap and
-  verification primitives, not approximated by merging per-shard top-k
-  answers;
-* metric-tree results are canonicalized to ``(distance, id)`` at the
-  serving layer (see ``SimilarityIndex._canonical_knn_topk``) because
-  the trees' traversal-order tie-break cannot survive a shard merge;
+* the router owns the result cache and all counters.  Shard primitives
+  are cache-free and charge cascade tallies to the counters dict the
+  router hands them, so the per-shard tallies add up in one place;
+* the per-shard Lemma 6 windows partition the serial window, so
+  candidates/pruned/verified tallies add up to the oracle's exactly --
+  and a length-pruned shard would have contributed an empty window
+  slice, making the skip counter-neutral;
+* the top-k search (seeding from the merged overlap ranking, the radius
+  schedule, the per-shard expansion memo) runs *globally* at the
+  router, not as a merge of per-shard top-k answers;
+* metric-tree results are canonicalized to ``(distance, id)`` per shard
+  (see ``SimilarityIndex._shard_topk_knn``) because the trees'
+  traversal-order tie-break cannot survive a shard merge;
 * ``fuzzymatch`` scores depend on corpus-global token weights, so it is
   served from one router-held global index rather than sharded;
 * the TSJ ``join`` runs over the global corpus through the existing
   engine (whose ``engine=`` fan-out already scatters the join itself):
-  its signature partitioning is orthogonal to record placement, and
-  routing it globally keeps reports, counters and simulated seconds
-  byte-identical.
+  its signature partitioning is orthogonal to record placement.
+
+**One pooled path.**  A multi-query request with ``processes > 1`` fans
+its cache misses out in chunks over the shared
+:mod:`runtime.pool <repro.runtime.pool>` against this router, published
+once per version through :mod:`repro.service.sharing`.  The parent still
+runs the result cache's get/put sequence in request order, putting a
+placeholder on each miss and filling it in place afterwards, so hits,
+misses and evictions equal in-process serving; the workers return their
+counter and routing tallies, which are merged back.
 
 Routing observability (``shards_probed`` / ``shards_pruned`` /
 ``shards_total``) lives in the separate :attr:`routing` dict -- by
@@ -60,46 +65,63 @@ import math
 from typing import Sequence
 
 from repro.candidates import COUNTER_CANDIDATES, COUNTER_VERIFIED, new_counters
+from repro.faults import fault_point
 from repro.service.cache import COUNTER_CACHE_HITS, COUNTER_CACHE_MISSES, LRUCache
-from repro.service.index import _MIN_SEED_CAP, _SEED_FACTOR, SimilarityIndex
-from repro.shard.placement import build_placement
-from repro.tokenize import Tokenizer
+from repro.service.index import SERVE_METHODS, SimilarityIndex
+from repro.service.sharing import Publishable, resolve_snapshot
+from repro.shard.placement import HashPlacement, build_placement
+from repro.tokenize import TokenizedString, Tokenizer
 
 __all__ = ["ShardedIndex"]
+
+#: Upper bound on token-postings seeds fully verified per top-k query
+#: (as a multiple of ``k``, floored at ``_MIN_SEED_CAP``).  Seeding only
+#: tightens the initial search radius; capping it never loses results.
+_SEED_FACTOR = 4
+_MIN_SEED_CAP = 32
 
 _MISS = object()
 
 
-def _shard_calls(payload):
-    """Pool-worker entry point: run a batch of router calls on one shard.
+def _new_routing() -> dict[str, int]:
+    return {"shards_probed": 0, "shards_pruned": 0}
 
-    ``payload`` is ``(publish_token, [(method_name, args), ...])``; the
-    worker resolves its local snapshot copy, runs the calls in order and
-    returns the results plus the shard's counter delta (the cascade
-    tallies the calls produced), mirroring ``sharing._serve_chunk``.
+
+def _merge(into: dict[str, int], delta: dict[str, int]) -> None:
+    for name, value in delta.items():
+        if value:
+            into[name] = into.get(name, 0) + value
+
+
+def _answer_chunk(payload):
+    """Pool-worker entry point: answer one chunk of cache-missed queries.
+
+    ``payload`` is ``(publish_token, operation, queries, param,
+    method)``; the worker resolves its copy of the published router and
+    returns the per-query answers plus the counter and routing tallies
+    the chunk charged (fresh dicts, so an in-process re-run of the chunk
+    after pool breakage never double counts).
     """
-    from repro.service.sharing import resolve_snapshot
-
-    token, batch = payload
-    shard = resolve_snapshot(token)
-    before = dict(shard.counters)
-    results = [getattr(shard, method)(*args) for method, args in batch]
-    delta = {
-        name: value - before.get(name, 0)
-        for name, value in shard.counters.items()
-        if value != before.get(name, 0)
-    }
-    return results, delta
+    token, operation, queries, param, method = payload
+    fault_point("serve.chunk")
+    router = resolve_snapshot(token)
+    counters = new_counters()
+    routing = _new_routing()
+    answers = [
+        router._answer(operation, query, param, method, counters, routing)
+        for query in queries
+    ]
+    return answers, counters, routing
 
 
-class ShardedIndex:
+class ShardedIndex(Publishable):
     """N-shard scatter-gather serving with the single-index surface.
 
     Parameters
     ----------
     names:
-        The corpus; tokenized once at the router for placement/join and
-        once more inside each owning shard's build.
+        The corpus; tokenized once, here, and the records handed to the
+        owning shards.
     n_shards:
         Number of :class:`SimilarityIndex` partitions.
     placement:
@@ -130,6 +152,7 @@ class ShardedIndex:
     ) -> None:
         self.tokenizer = tokenizer or Tokenizer()
         self.backend = backend
+        names = list(names)
         records = [self.tokenizer.tokenize(name) for name in names]
         built = build_placement(
             placement,
@@ -140,9 +163,8 @@ class ShardedIndex:
             SimilarityIndex(tokenizer=self.tokenizer, backend=backend, cache_size=0)
             for _ in range(built.n_shards)
         ]
-        self._init_router_state(shards, built, cache_size)
-        if names:
-            self._place(names, records)
+        self._init_router_state(shards, built, LRUCache(cache_size), None)
+        self._place(names, records)
 
     @classmethod
     def from_shards(
@@ -160,10 +182,35 @@ class ShardedIndex:
         order; the global views are rebuilt from the shards' own
         records, so nothing is re-tokenized.
         """
+        return cls._assemble(
+            shards, placement, shard_ids, tokenizer, backend, LRUCache(cache_size)
+        )
+
+    @classmethod
+    def _over(cls, index: SimilarityIndex) -> "ShardedIndex":
+        """The 1-shard router an unsharded index serves through.
+
+        It shares ``index``'s :attr:`counters` dict and result cache, so
+        serving through it counts and caches exactly once, on ``index``.
+        """
+        return cls._assemble(
+            [index],
+            HashPlacement(1),
+            [range(len(index))],
+            index.tokenizer,
+            index.backend,
+            index.result_cache,
+            index.counters,
+        )
+
+    @classmethod
+    def _assemble(
+        cls, shards, placement, shard_ids, tokenizer, backend, cache, counters=None
+    ) -> "ShardedIndex":
         index = cls.__new__(cls)
         index.tokenizer = tokenizer or Tokenizer()
         index.backend = backend
-        index._init_router_state(list(shards), placement, cache_size)
+        index._init_router_state(list(shards), placement, cache, counters)
         total = sum(len(shard) for shard in shards)
         index._names = [None] * total
         index._records = [None] * total
@@ -176,7 +223,7 @@ class ShardedIndex:
                 index._locations[global_id] = (shard_index, local_id)
         return index
 
-    def _init_router_state(self, shards, placement, cache_size: int) -> None:
+    def _init_router_state(self, shards, placement, cache, counters) -> None:
         self.shards: list[SimilarityIndex] = shards
         self.placement = placement
         self._names: list[str] = []
@@ -185,25 +232,25 @@ class ShardedIndex:
         self._locations: list[tuple[int, int]] = []
         #: shard index -> its global ids in local order (ascending).
         self._shard_ids: list[list[int]] = [[] for _ in shards]
-        self._cache = LRUCache(cache_size)
+        self._cache = cache
+        if counters is None:
+            counters = new_counters()
+            counters[COUNTER_CACHE_HITS] = 0
+            counters[COUNTER_CACHE_MISSES] = 0
         #: Oracle-equal serving counters (cascade + router cache).
-        self.counters: dict[str, int] = new_counters()
-        self.counters[COUNTER_CACHE_HITS] = 0
-        self.counters[COUNTER_CACHE_MISSES] = 0
-        #: Scatter bookkeeping, deliberately *outside* :attr:`counters`:
+        self.counters: dict[str, int] = counters
+        #: Routing bookkeeping, deliberately *outside* :attr:`counters`:
         #: per cascade ``within`` pass, every shard is tallied probed or
         #: pruned (Lemma 6 window vs. the shard's actual length range).
-        self.routing: dict[str, int] = {
-            "shards_total": len(shards),
-            "shards_probed": 0,
-            "shards_pruned": 0,
-        }
+        self.routing = {"shards_total": len(shards), **_new_routing()}
         #: The corpus-global fuzzymatch index (lazy; see module docs).
         self._global_knn: dict[str, object] = {}
+        self._init_publication()
 
-    def _place(self, names: Sequence[str], records: Sequence) -> None:
-        """Route new records to their owners, preserving global order."""
-        batches: dict[int, list[str]] = {}
+    def _place(self, names: Sequence[str], records: Sequence[TokenizedString]) -> None:
+        """Route new records to their owners, preserving global order;
+        the shards index the router's records, never re-tokenizing."""
+        batches: dict[int, tuple[list, list]] = {}
         for name, record in zip(names, records):
             global_id = len(self._records)
             shard_index = self.placement.shard_of(
@@ -214,9 +261,11 @@ class ShardedIndex:
             shard_globals.append(global_id)
             self._names.append(name)
             self._records.append(record)
-            batches.setdefault(shard_index, []).append(name)
-        for shard_index, batch in batches.items():
-            self.shards[shard_index].append(batch)
+            batch_names, batch_records = batches.setdefault(shard_index, ([], []))
+            batch_names.append(name)
+            batch_records.append(record)
+        for shard_index, (batch_names, batch_records) in batches.items():
+            self.shards[shard_index]._extend(batch_names, batch_records)
 
     # -- collection surface -----------------------------------------------------
 
@@ -244,11 +293,12 @@ class ShardedIndex:
         record count the caller saw; exact replays are no-ops)."""
         if base is not None and self._check_append_base(names, base):
             return
-        records = [self.tokenizer.tokenize(name) for name in names]
-        self._place(list(names), records)
+        names = list(names)
+        self._place(names, [self.tokenizer.tokenize(name) for name in names])
         if names:
             self._cache.clear()
             self._global_knn.clear()
+            self.unpublish()  # the next pooled serve re-publishes
 
     # Same records/names shape as SimilarityIndex, so the replay check is
     # shared verbatim rather than re-stated.
@@ -280,157 +330,19 @@ class ShardedIndex:
     def prepare(self, *methods: str) -> "ShardedIndex":
         """Eagerly build serving backends on every shard (and the global
         fuzzymatch index); returns ``self`` for chaining."""
+        from repro.api.registry import validate_choice
+
         for method in methods:
+            validate_choice("serving method", method, SERVE_METHODS)
             if method == "fuzzymatch":
                 self._fuzzy_index()
             elif method != "cascade":
                 for shard in self.shards:
                     if len(shard):
-                        shard.prepare(method)
+                        shard._knn_index(method)
         return self
 
-    def unpublish(self) -> None:
-        """Withdraw every shard's pool publication (see
-        :meth:`SimilarityIndex.unpublish`)."""
-        for shard in self.shards:
-            shard.unpublish()
-
-    # -- result cache (router-owned; keys identical to the serial index) --------
-
-    def _cache_get(self, key):
-        value = self._cache.get(key, _MISS)
-        if value is _MISS:
-            self.counters[COUNTER_CACHE_MISSES] += 1
-            return None
-        self.counters[COUNTER_CACHE_HITS] += 1
-        return value
-
-    def _cache_put(self, key, value) -> None:
-        self._cache.put(key, value)
-
-    # -- scatter-gather core -----------------------------------------------------
-
-    def _scatter(
-        self, calls: dict[int, list[tuple[str, tuple]]], processes: int
-    ) -> dict[int, list]:
-        """Run per-shard call batches, in-process or on the shared pool.
-
-        ``calls`` maps shard index -> ``[(method name, args), ...]``;
-        the return maps shard index -> the batch's results, and every
-        shard's counter delta is merged into :attr:`counters` (this is
-        what makes the summed cascade tallies oracle-equal).  Pooling
-        fans *shards* out per request -- the serve loop stays serial
-        over queries so router cache semantics match the serial index
-        exactly, duplicates and LRU recency included.
-        """
-        from repro.runtime.pool import in_worker_process, resilient_pool_map
-
-        items = [(index, batch) for index, batch in calls.items() if batch]
-        gathered: dict[int, list] = {}
-        if processes > 1 and len(items) > 1 and not in_worker_process():
-            payloads = [
-                (self.shards[index].ensure_published(), batch)
-                for index, batch in items
-            ]
-            outcomes = resilient_pool_map(
-                _shard_calls,
-                payloads,
-                min(processes, len(items)),
-                label="shard scatter",
-            )
-            for (index, _), (results, delta) in zip(items, outcomes):
-                gathered[index] = results
-                self._merge_delta(delta)
-            return gathered
-        for index, batch in items:
-            shard = self.shards[index]
-            before = dict(shard.counters)
-            gathered[index] = [
-                getattr(shard, method)(*args) for method, args in batch
-            ]
-            self._merge_delta(
-                {
-                    name: value - before.get(name, 0)
-                    for name, value in shard.counters.items()
-                    if value != before.get(name, 0)
-                }
-            )
-        return gathered
-
-    def _merge_delta(self, delta: dict[str, int]) -> None:
-        counters = self.counters
-        for name, value in delta.items():
-            counters[name] = counters.get(name, 0) + value
-
-    def _plan_within(self, aggregate_length: int, radius: float) -> list[int]:
-        """Shard indexes whose length range intersects the Lemma 6 window.
-
-        The pruning decision uses each shard's *actual* held range, not
-        the placement's nominal boundaries, so correctness is placement-
-        independent; a pruned shard's window slice would have been empty,
-        making the skip invisible to :attr:`counters`.  Every shard is
-        tallied probed or pruned in :attr:`routing` per pass.
-        """
-        if radius >= 1.0:
-            low, high = None, None
-        else:
-            low = math.floor((1.0 - radius) * aggregate_length)
-            high = math.ceil(aggregate_length / (1.0 - radius))
-        probed: list[int] = []
-        for index, shard in enumerate(self.shards):
-            held = shard.length_range()
-            if held is not None and (
-                low is None or (held[1] >= low and held[0] <= high)
-            ):
-                probed.append(index)
-                self.routing["shards_probed"] += 1
-            else:
-                self.routing["shards_pruned"] += 1
-        return probed
-
-    def _within_global(
-        self,
-        query: str,
-        radius: float,
-        known: dict[int, float] | None,
-        processes: int,
-    ) -> list[tuple[int, float]]:
-        """One global ``within`` pass: plan, scatter, merge.
-
-        Returns global ``(record id, distance)`` hits under the oracle's
-        ``(distance, id)`` order; when ``known`` is given (the top-k
-        expansion memo, global ids) it is sliced per shard on the way
-        out and extended with the fresh exact distances on the way back.
-        """
-        record = self.tokenizer.tokenize(query)
-        probed = self._plan_within(record.aggregate_length, radius)
-        locations = self._locations
-        calls: dict[int, list[tuple[str, tuple]]] = {}
-        for index in probed:
-            local_known = None
-            if known is not None:
-                local_known = {}
-                for global_id, distance in known.items():
-                    shard_index, local_id = locations[global_id]
-                    if shard_index == index:
-                        local_known[local_id] = distance
-            calls[index] = [("_shard_within", (query, radius, local_known))]
-        gathered = self._scatter(calls, processes)
-        merged: list[tuple[float, int]] = []
-        for index in probed:
-            hits, fresh = gathered[index][0]
-            globals_ = self._shard_ids[index]
-            merged.extend((distance, globals_[local]) for local, distance in hits)
-            if known is not None:
-                for local, distance in fresh.items():
-                    known[globals_[local]] = distance
-        merged.sort()
-        return [(global_id, distance) for distance, global_id in merged]
-
-    def _nonempty(self) -> list[int]:
-        return [index for index, shard in enumerate(self.shards) if len(shard)]
-
-    # -- serving ---------------------------------------------------------------
+    # -- serving -----------------------------------------------------------------
 
     def topk(
         self,
@@ -441,15 +353,13 @@ class ShardedIndex:
     ) -> list[list[tuple[str, float]]]:
         """As :meth:`SimilarityIndex.topk`, scatter-gathered.
 
-        ``processes > 1`` parallelizes each query's scatter *across
-        shards* on the shared pool (the serve loop stays serial over
-        queries -- see :meth:`_scatter`).
+        ``processes > 1`` fans a multi-query batch's cache misses out
+        over the shared pool (see :meth:`_serve`); results and counters
+        equal in-process serving.
         """
         if k < 1:
             raise ValueError("k must be positive")
-        if isinstance(queries, str):
-            queries = [queries]
-        return [self._topk_one(query, k, method, processes or 0) for query in queries]
+        return self._serve("topk", queries, k, method, processes)
 
     def within(
         self,
@@ -464,12 +374,7 @@ class ShardedIndex:
             raise ValueError("radius must be non-negative")
         if method == "fuzzymatch":
             raise ValueError("within() is not defined for the fuzzymatch method")
-        if isinstance(queries, str):
-            queries = [queries]
-        return [
-            self._within_one(query, radius, method, processes or 0)
-            for query in queries
-        ]
+        return self._serve("within", queries, radius, method, processes)
 
     def join(
         self,
@@ -480,8 +385,8 @@ class ShardedIndex:
         **config_overrides,
     ):
         """TSJ self-join of the global corpus, byte-identical to
-        :meth:`SimilarityIndex.join` (same cache key, same report, same
-        counters and simulated seconds).  The join's signature
+        :func:`repro.core.nsld_join` (see :meth:`SimilarityIndex.join`;
+        the report is cached under the same key).  The join's signature
         partitioning is orthogonal to record placement, so it runs over
         the global record list and scatters through the existing TSJ
         ``engine`` fan-out rather than per shard.
@@ -493,169 +398,254 @@ class ShardedIndex:
             n_machines,
             tuple(sorted(config_overrides.items())),
         )
-        cached = self._cache_get(key)
-        if cached is not None:
-            return cached
-        from repro.core.api import join_records
+        report = self._lookup(key)
+        if report is _MISS:
+            from repro.core.api import join_records
 
-        report = join_records(
-            self._names,
-            self._records,
-            threshold=threshold,
-            max_token_frequency=max_token_frequency,
-            n_machines=n_machines,
-            engine=engine,
-            **config_overrides,
-        )
-        self._cache_put(key, report)
+            report = join_records(
+                self._names,
+                self._records,
+                threshold=threshold,
+                max_token_frequency=max_token_frequency,
+                n_machines=n_machines,
+                engine=engine,
+                **config_overrides,
+            )
+            self._cache.put(key, report)
         return report
 
-    # -- per-query routing ------------------------------------------------------
+    def _lookup(self, key):
+        """The cached value (recency refreshed) or ``_MISS``, counted."""
+        value = self._cache.get(key, _MISS)
+        name = COUNTER_CACHE_MISSES if value is _MISS else COUNTER_CACHE_HITS
+        self.counters[name] += 1
+        return value
 
-    def _topk_one(
-        self, query: str, k: int, method: str, processes: int
-    ) -> list[tuple[str, float]]:
-        key = ("topk", method, query, k)
-        cached = self._cache_get(key)
-        if cached is not None:
-            return list(cached)
-        if method == "fuzzymatch":
-            result = self._fuzzy_topk(query, k)
-        elif method != "cascade":
-            result = self._knn_topk_global(query, k, method, processes)
-        else:
-            result = self._cascade_topk(query, k, processes)
-        self._cache_put(key, result)
-        return list(result)
+    def _serve(self, operation, queries, param, method, processes):
+        """Answer a batch: the cache sequence, then the misses.
 
-    def _within_one(
-        self, query: str, radius: float, method: str, processes: int
+        The get/put sequence runs in request order with an empty-list
+        placeholder put on each miss, so hits, misses and evictions are
+        exactly those of answering one query at a time -- duplicates
+        within the batch hit the earlier placeholder.  The misses are
+        then answered in process, or, for ``processes > 1`` and more than
+        one miss, in chunks on the shared pool; each placeholder is
+        filled in place, which leaves LRU recency untouched.
+        """
+        from repro.api.registry import validate_choice
+
+        validate_choice("serving method", method, SERVE_METHODS)
+        if isinstance(queries, str):
+            queries = [queries]
+        answers: list[list] = []
+        misses: list[tuple[str, list]] = []
+        for query in queries:
+            key = (operation, method, query, param)
+            answer = self._lookup(key)
+            if answer is _MISS:
+                answer = []
+                self._cache.put(key, answer)
+                misses.append((query, answer))
+            answers.append(answer)
+        pending = [query for query, _ in misses]
+        try:
+            if processes and processes > 1 and len(pending) > 1:
+                results = self._answer_pooled(
+                    operation, pending, param, method, processes
+                )
+            else:
+                counters, routing = self.counters, self.routing
+                results = [
+                    self._answer(operation, query, param, method, counters, routing)
+                    for query in pending
+                ]
+        except BaseException:
+            # Unfilled placeholders must never answer a later request.
+            self._cache.clear()
+            raise
+        for (_, answer), result in zip(misses, results):
+            answer.extend(result)
+        return [list(answer) for answer in answers]
+
+    def _answer_pooled(self, operation, queries, param, method, processes):
+        """Answer ``queries`` in chunks on the shared pool against this
+        router's publication, merging the chunks' tallies back."""
+        from repro.runtime.pool import resilient_pool_map
+
+        token = self.ensure_published()
+        workers = min(processes, len(queries))
+        size = -(-len(queries) // workers)
+        chunks = [
+            (token, operation, queries[start : start + size], param, method)
+            for start in range(0, len(queries), size)
+        ]
+        # The registry also holds the router in the parent, so
+        # resilient_pool_map's in-process paths (inside a worker, or
+        # degraded after repeated pool breakage) resolve the token and
+        # answer the identical chunks.
+        answers: list[list] = []
+        for chunk_answers, counters, routing in resilient_pool_map(
+            _answer_chunk, chunks, workers, label="serve chunks"
+        ):
+            _merge(self.counters, counters)
+            _merge(self.routing, routing)
+            answers.extend(chunk_answers)
+        return answers
+
+    # -- one query, uncached -------------------------------------------------------
+
+    def _answer(
+        self,
+        operation: str,
+        query: str,
+        param,
+        method: str,
+        counters: dict[str, int],
+        routing: dict[str, int],
     ) -> list[tuple[str, float]]:
-        key = ("within", method, query, radius)
-        cached = self._cache_get(key)
-        if cached is not None:
-            return list(cached)
-        if method != "cascade":
-            result = self._knn_within_global(query, radius, method, processes)
-        else:
-            result = [
-                (self._names[global_id], distance)
-                for global_id, distance in self._within_global(
-                    query, radius, None, processes
+        """One query's answer, charging ``counters`` / ``routing``."""
+        record = self.tokenizer.tokenize(query)
+        if method == "fuzzymatch":  # topk only; within rejects it
+            return [
+                (" ".join(tokens), score)
+                for tokens, score in self._fuzzy_index().query(
+                    list(record.tokens), k=param
                 )
             ]
-        self._cache_put(key, result)
-        return list(result)
+        if method == "cascade" and operation == "topk":
+            hits = self._cascade_topk(record, param, counters, routing)
+        elif method == "cascade":
+            hits = self._within_global(record, param, None, counters, routing)
+        elif operation == "topk":
+            hits = self._gather(
+                self._nonempty(),
+                lambda index, shard: shard._shard_topk_knn(record, param, method),
+            )[:param]
+        else:
+            hits = self._gather(
+                self._nonempty(),
+                lambda index, shard: shard._shard_within_knn(record, param, method),
+            )
+        names = self._names
+        return [(names[global_id], distance) for global_id, distance in hits]
+
+    def _nonempty(self) -> list[int]:
+        return [index for index, shard in enumerate(self.shards) if len(shard)]
+
+    def _gather(self, shard_indexes, call) -> list[tuple[int, float]]:
+        """Run ``call(index, shard)`` -- local ``(id, distance)`` hits --
+        on each listed shard; merge under ``(distance, global id)``."""
+        merged: list[tuple[float, int]] = []
+        for index in shard_indexes:
+            globals_ = self._shard_ids[index]
+            merged.extend(
+                (distance, globals_[local])
+                for local, distance in call(index, self.shards[index])
+            )
+        merged.sort()
+        return [(global_id, distance) for distance, global_id in merged]
+
+    def _plan_within(
+        self, aggregate_length: int, radius: float, routing: dict[str, int]
+    ) -> list[int]:
+        """Shard indexes whose length range intersects the Lemma 6 window.
+
+        The pruning decision uses each shard's *actual* held range, not
+        the placement's nominal boundaries, so correctness is placement-
+        independent; a pruned shard's window slice would have been empty,
+        making the skip invisible to :attr:`counters`.  Every shard is
+        tallied probed or pruned in ``routing`` per pass.
+        """
+        if radius >= 1.0:
+            low, high = None, None
+        else:
+            low = math.floor((1.0 - radius) * aggregate_length)
+            high = math.ceil(aggregate_length / (1.0 - radius))
+        probed: list[int] = []
+        for index, shard in enumerate(self.shards):
+            held = shard.length_range()
+            if held is not None and (
+                low is None or (held[1] >= low and held[0] <= high)
+            ):
+                probed.append(index)
+                routing["shards_probed"] += 1
+            else:
+                routing["shards_pruned"] += 1
+        return probed
+
+    def _within_global(
+        self,
+        record: TokenizedString,
+        radius: float,
+        memos: list[dict[int, float]] | None,
+        counters: dict[str, int],
+        routing: dict[str, int],
+    ) -> list[tuple[int, float]]:
+        """One global ``within`` pass: plan, probe, merge.
+
+        Returns global ``(record id, distance)`` hits under the oracle's
+        ``(distance, id)`` order.  ``memos`` (the top-k expansion memo)
+        holds one local-id memo per shard, which the probed shards read
+        and extend in place.
+        """
+        return self._gather(
+            self._plan_within(record.aggregate_length, radius, routing),
+            lambda index, shard: shard._shard_within(
+                record, radius, None if memos is None else memos[index], counters
+            ),
+        )
 
     def _cascade_topk(
-        self, query: str, k: int, processes: int
-    ) -> list[tuple[str, float]]:
-        """The serial top-k search re-run globally at the router.
+        self,
+        record: TokenizedString,
+        k: int,
+        counters: dict[str, int],
+        routing: dict[str, int],
+    ) -> list[tuple[int, float]]:
+        """The top-k search: seed, then expand a complete ``within``.
 
-        Seeding (global overlap ranking, capped verification), the
-        radius schedule and the expansion memo are the serial
-        algorithm's, verbatim, over merged per-shard primitives -- which
-        is what makes results *and counters* oracle-equal rather than a
-        merge approximation.
+        Seeds -- the records sharing the most distinct query tokens,
+        ranked by ``(-overlap, global id)`` and capped -- are verified
+        exactly to learn an initial radius (the k-th seed distance); one
+        complete ``within`` pass at that radius then holds the answer,
+        doubling the radius while it holds fewer than ``k``.  Every exact
+        distance lands in the owning shard's memo, so an expansion pass
+        never re-verifies.
         """
         k_effective = min(k, len(self._records))
         if k_effective == 0:
             return []
-        # Seed: merge the disjoint per-shard overlap tallies, rank by
-        # (-overlap, global id), verify the capped prefix where it lives.
-        nonempty = self._nonempty()
-        gathered = self._scatter(
-            {index: [("_shard_overlap", (query,))] for index in nonempty},
-            processes,
-        )
         overlap: dict[int, int] = {}
-        for index in nonempty:
+        for index in self._nonempty():
             globals_ = self._shard_ids[index]
-            for local, count in gathered[index][0].items():
+            for local, count in self.shards[index]._shard_overlap(record).items():
                 overlap[globals_[local]] = count
         cap = max(_MIN_SEED_CAP, _SEED_FACTOR * k_effective)
         ranked = sorted(overlap.items(), key=lambda item: (-item[1], item[0]))[:cap]
-        verify_calls: dict[int, list[tuple[str, tuple]]] = {}
-        locations = self._locations
         by_shard: dict[int, list[int]] = {}
+        locations = self._locations
         for global_id, _ in ranked:
             shard_index, local_id = locations[global_id]
             by_shard.setdefault(shard_index, []).append(local_id)
+        memos: list[dict[int, float]] = [{} for _ in self.shards]
         for shard_index, local_ids in by_shard.items():
-            verify_calls[shard_index] = [("_shard_verify", (query, local_ids))]
-        gathered = self._scatter(verify_calls, processes)
-        known: dict[int, float] = {}
-        for shard_index in by_shard:
-            globals_ = self._shard_ids[shard_index]
-            for local, distance in gathered[shard_index][0]:
-                known[globals_[local]] = distance
-        # The serial path charges candidates+verified per seed; the
-        # shard primitives are counter-free so the router charges here.
-        self.counters[COUNTER_CANDIDATES] += len(ranked)
-        self.counters[COUNTER_VERIFIED] += len(ranked)
-        if len(known) >= k_effective:
-            radius = sorted(known.values())[k_effective - 1]
+            memos[shard_index].update(
+                self.shards[shard_index]._shard_verify(record, local_ids)
+            )
+        # Seeds are candidates verified outright (no filter ran).
+        counters[COUNTER_CANDIDATES] += len(ranked)
+        counters[COUNTER_VERIFIED] += len(ranked)
+        if len(ranked) >= k_effective:
+            seeds = sorted(distance for memo in memos for distance in memo.values())
+            radius = seeds[k_effective - 1]
         else:
             radius = 0.25
         while True:
-            hits = self._within_global(query, radius, known, processes)
+            hits = self._within_global(record, radius, memos, counters, routing)
             if len(hits) >= k_effective or radius >= 1.0:
                 break
             radius = min(1.0, radius * 2.0)
-        return [
-            (self._names[global_id], distance)
-            for global_id, distance in hits[:k_effective]
-        ]
-
-    def _knn_topk_global(
-        self, query: str, k: int, method: str, processes: int
-    ) -> list[tuple[str, float]]:
-        """Merge per-shard canonical metric-tree top-k lists.
-
-        Each shard's canonical ``(distance, local id)`` top-k restricts
-        the global canonical order (local-id order equals global-id
-        order within a shard), so the global top-k is contained in the
-        union: sort the mapped union by ``(distance, global id)``, keep
-        ``k``.
-        """
-        nonempty = self._nonempty()
-        gathered = self._scatter(
-            {index: [("_shard_topk_knn", (query, k, method))] for index in nonempty},
-            processes,
-        )
-        merged: list[tuple[float, int]] = []
-        for index in nonempty:
-            globals_ = self._shard_ids[index]
-            merged.extend(
-                (distance, globals_[local]) for local, distance in gathered[index][0]
-            )
-        merged.sort()
-        return [
-            (self._names[global_id], distance)
-            for distance, global_id in merged[:k]
-        ]
-
-    def _knn_within_global(
-        self, query: str, radius: float, method: str, processes: int
-    ) -> list[tuple[str, float]]:
-        nonempty = self._nonempty()
-        gathered = self._scatter(
-            {
-                index: [("_shard_within_knn", (query, radius, method))]
-                for index in nonempty
-            },
-            processes,
-        )
-        merged: list[tuple[float, int]] = []
-        for index in nonempty:
-            globals_ = self._shard_ids[index]
-            merged.extend(
-                (distance, globals_[local]) for local, distance in gathered[index][0]
-            )
-        merged.sort()
-        return [
-            (self._names[global_id], distance) for distance, global_id in merged
-        ]
+        return hits[:k_effective]
 
     def _fuzzy_index(self):
         built = self._global_knn.get("fuzzymatch")
@@ -667,14 +657,3 @@ class ShardedIndex:
             )
             self._global_knn["fuzzymatch"] = built
         return built
-
-    def _fuzzy_topk(self, query: str, k: int) -> list[tuple[str, float]]:
-        """FMS top-k from the corpus-global index (weights are corpus-
-        global, so fuzzymatch cannot shard; identical to the serial
-        index's fuzzymatch branch by construction)."""
-        built = self._fuzzy_index()
-        record = self.tokenizer.tokenize(query)
-        return [
-            (" ".join(tokens), score)
-            for tokens, score in built.query(list(record.tokens), k=k)
-        ]

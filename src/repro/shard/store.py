@@ -43,12 +43,11 @@ import json
 import os
 
 from repro.api.errors import CorruptSnapshotError, WalReplayError
-from repro.faults import FaultInjected, fault_point
 from repro.shard.index import ShardedIndex
 from repro.shard.placement import placement_from_manifest
 from repro.store.format import read_snapshot_file, write_snapshot_file
 from repro.store.snapshot import index_from_sections, index_to_sections
-from repro.store.store import SNAPSHOT_NAME, WAL_NAME
+from repro.store.store import SNAPSHOT_NAME, WAL_NAME, replay_wal
 from repro.store.wal import WriteAheadLog
 
 __all__ = ["ShardedSnapshotStore", "is_sharded_store"]
@@ -204,26 +203,9 @@ class ShardedSnapshotStore:
         return index
 
     def _replay_into(self, index: ShardedIndex, snapshot_records: int):
-        """WAL replay with the unsharded skip/gap rules, batched."""
-        records = self.wal.replay()
-        pending: list[str] = []
-        try:
-            for record in records:
-                fault_point("store.replay")
-                if record.base < snapshot_records:
-                    continue  # the snapshot generation already covers it
-                if record.base != snapshot_records + len(pending):
-                    raise WalReplayError(
-                        f"append log {self.wal.path!r} has a gap: record "
-                        f"expects {record.base} records, snapshot+replay "
-                        f"holds {snapshot_records + len(pending)}"
-                    )
-                pending.extend(record.names)
-        except FaultInjected as exc:
-            raise WalReplayError(f"replay failed: {exc}") from exc
-        if pending:
-            index.append(pending)
-        self._wal_records = len(records)
+        """WAL replay under the unsharded skip/gap rule (global ``base``
+        offsets, see :func:`repro.store.store.replay_wal`)."""
+        self._wal_records = replay_wal(self.wal, index, snapshot_records)
         return index
 
     def _read_manifest(self) -> dict:

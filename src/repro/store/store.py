@@ -44,10 +44,43 @@ from repro.store.format import read_snapshot_file, write_snapshot_file
 from repro.store.snapshot import index_from_sections, index_to_sections
 from repro.store.wal import WriteAheadLog
 
-__all__ = ["SnapshotStore"]
+__all__ = ["SnapshotStore", "replay_wal"]
 
 SNAPSHOT_NAME = "index.snap"
 WAL_NAME = "index.wal"
+
+
+def replay_wal(wal: WriteAheadLog, index, snapshot_records: int) -> int:
+    """Replay ``wal`` onto a just-loaded ``index``; returns records read.
+
+    The one replay rule both store layouts share: a record whose
+    ``base`` is below ``snapshot_records`` is already covered by the
+    snapshot and skipped (a crash between snapshot publication and the
+    WAL reset leaves such records); every other record must start
+    exactly where snapshot plus replay end, or the log has a gap and
+    :class:`~repro.api.errors.WalReplayError` is raised.  Each record
+    passes the ``store.replay`` fault point.  The surviving tail is
+    applied as one batched append (one length-partition sort).
+    """
+    records = wal.replay()
+    pending: list[str] = []
+    try:
+        for record in records:
+            fault_point("store.replay")
+            if record.base < snapshot_records:
+                continue  # the snapshot already covers this append
+            if record.base != snapshot_records + len(pending):
+                raise WalReplayError(
+                    f"append log {wal.path!r} has a gap: record "
+                    f"expects {record.base} records, snapshot+replay "
+                    f"holds {snapshot_records + len(pending)}"
+                )
+            pending.extend(record.names)
+    except FaultInjected as exc:
+        raise WalReplayError(f"replay failed: {exc}") from exc
+    if pending:
+        index.append(pending)
+    return len(records)
 
 
 class SnapshotStore:
@@ -127,28 +160,7 @@ class SnapshotStore:
         """
         sections = read_snapshot_file(self.snapshot_path)
         index = index_from_sections(sections)
-        records = self.wal.replay()
-        snapshot_records = len(index)
-        pending: list[str] = []
-        try:
-            for record in records:
-                fault_point("store.replay")
-                if record.base < snapshot_records:
-                    continue  # the snapshot already covers this append
-                if record.base != snapshot_records + len(pending):
-                    raise WalReplayError(
-                        f"append log {self.wal.path!r} has a gap: record "
-                        f"expects {record.base} records, snapshot+replay "
-                        f"holds {snapshot_records + len(pending)}"
-                    )
-                pending.extend(record.names)
-        except FaultInjected as exc:
-            raise WalReplayError(f"replay failed: {exc}") from exc
-        if pending:
-            # One batched append: one length-partition sort for the whole
-            # tail, not one per logged record.
-            index.append(pending)
-        self._wal_records = len(records)
+        self._wal_records = replay_wal(self.wal, index, len(index))
         self.loaded_from_snapshot = True
         return index
 

@@ -16,7 +16,7 @@ metadata, and full strings are resolved only for final verification.
 from __future__ import annotations
 
 import math
-from typing import Iterator, Mapping
+from typing import Iterator
 
 from repro.candidates import (
     COUNTER_CANDIDATES,
@@ -24,6 +24,7 @@ from repro.candidates import (
     COUNTER_PRUNED_LENGTH,
     COUNTER_VERIFIED,
     HistogramBoundFilter,
+    encode_histogram,
 )
 from repro.distances.setwise import nsld_within
 from repro.mapreduce import MapReduceContext, MapReduceJob, stable_hash
@@ -32,11 +33,6 @@ from repro.tokenize import TokenizedString
 Histogram = tuple[tuple[int, int], ...]
 SimilarPairs = tuple[tuple[int, int, int], ...]
 CandidateMeta = tuple[int, Histogram, int, Histogram, SimilarPairs]
-
-
-def encode_histogram(histogram: Mapping[int, int]) -> Histogram:
-    """Canonical, hashable encoding of a token-length histogram."""
-    return tuple(sorted(histogram.items()))
 
 
 def decode_histogram(encoded: Histogram) -> dict[int, int]:
